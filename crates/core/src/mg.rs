@@ -87,6 +87,18 @@ impl Smoother {
         }
     }
 
+    /// [`Smoother::build`] for a new operator on the same grid: a
+    /// block-Jacobi smoother reuses this one's cached block plans (bitwise
+    /// the same result as a fresh build).
+    fn rebuild(&self, sim: &mut Sim, a: &DistMatrix, opts: &MgOptions) -> Smoother {
+        match (self, opts.smoother) {
+            (Smoother::BlockJacobi(prev), SmootherType::BlockJacobi) => Smoother::BlockJacobi(
+                BlockJacobi::new_reusing(a, opts.blocks_per_1000, opts.omega, prev),
+            ),
+            _ => Smoother::build(sim, a, opts),
+        }
+    }
+
     /// `sweeps` stationary smoothing passes on `A x = b`. The operator is
     /// only *applied* here, so assembled and matrix-free backends are both
     /// accepted; the smoother's setup-time factorizations always come from
@@ -474,6 +486,8 @@ impl MgHierarchy {
     /// numerically — no symbolic work — as long as the level's sparsity
     /// pattern is unchanged (the common case: Newton only changes values).
     /// A pattern change is detected and the plan rebuilt transparently.
+    /// Block-Jacobi levels likewise keep their block partitions and gather
+    /// maps and only re-factor (see [`BlockJacobi::new_reusing`]).
     pub fn update_operator(&mut self, sim: &mut Sim, a_fine: &CsrMatrix) {
         sim.phase("matrix setup");
         // Any installed matrix-free kernels linearize the *previous*
@@ -498,7 +512,7 @@ impl MgHierarchy {
             let opts = self.opts;
             let smoother = {
                 let _t = pmg_telemetry::scope("smoother");
-                Smoother::build(sim, &da, &opts)
+                self.levels[lvl].smoother.rebuild(sim, &da, &opts)
             };
             let level = &mut self.levels[lvl];
             let next = level.r_global.is_some().then(|| {
@@ -860,6 +874,63 @@ mod tests {
             .sqrt();
         let bn: f64 = bg.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!(err < 1e-6 * bn);
+    }
+
+    /// Every level's block-Jacobi smoother applied to a fixed vector,
+    /// against a fresh [`BlockJacobi::new`] on that level's operator: the
+    /// bits must agree.
+    fn assert_smoothers_match_fresh_builds(mg: &MgHierarchy, sim: &mut Sim) {
+        let bits = |z: &DistVec| {
+            z.to_global()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        for (lvl, level) in mg.levels.iter().enumerate() {
+            let Smoother::BlockJacobi(bj) = &level.smoother else {
+                panic!("level {lvl} is not block Jacobi");
+            };
+            let fresh = BlockJacobi::new(&level.a, mg.opts.blocks_per_1000, mg.opts.omega);
+            let layout = level.a.row_layout().clone();
+            let rg: Vec<f64> = (0..layout.num_global())
+                .map(|i| ((i * 13) % 11) as f64 - 5.0)
+                .collect();
+            let r = DistVec::from_global(layout.clone(), &rg);
+            let mut z_updated = DistVec::zeros(layout.clone());
+            let mut z_fresh = DistVec::zeros(layout);
+            bj.apply(sim, &r, &mut z_updated);
+            fresh.apply(sim, &r, &mut z_fresh);
+            assert_eq!(bits(&z_updated), bits(&z_fresh), "level {lvl}");
+        }
+    }
+
+    #[test]
+    fn updated_smoothers_match_fresh_builds_bitwise() {
+        let (a, coords, g, c) = scalar_problem(8);
+        let mut sim = Sim::new(2, MachineModel::default());
+        let mut mg = MgHierarchy::build(&mut sim, &a, &coords, &g, &c, opts_scalar());
+
+        // Same pattern, new (non-uniformly changed) values: the smoothers
+        // re-factor through their cached block plans.
+        let mut a2 = a.clone();
+        for i in 0..a2.nrows() {
+            assert!(a2.add_to(i, i, 0.25 * (i % 5) as f64));
+        }
+        mg.update_operator(&mut sim, &a2);
+        assert_smoothers_match_fresh_builds(&mg, &mut sim);
+
+        // One extra off-diagonal pair changes level 0's pattern (and the
+        // Galerkin patterns below it): the smoothers are still exactly
+        // those of a fresh build. (`tests/symbolic_numeric.rs` counts the
+        // plan rebuild.)
+        assert_eq!(a2.get(0, 2), 0.0, "pair (0, 2) must be new");
+        let mut extra = CooBuilder::new(a2.nrows(), a2.ncols());
+        extra.push(0, 2, -0.1);
+        extra.push(2, 0, -0.1);
+        let a3 = a2.add_scaled(&extra.build(), 1.0);
+        assert_eq!(a3.nnz(), a2.nnz() + 2);
+        mg.update_operator(&mut sim, &a3);
+        assert_smoothers_match_fresh_builds(&mg, &mut sim);
     }
 
     #[test]

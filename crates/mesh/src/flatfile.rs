@@ -200,13 +200,22 @@ fn bad_data(m: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string())
 }
 
+/// Byte length of `n` records of `record` bytes; a header count whose
+/// section size overflows `usize` is invalid data, not a wrapped length.
+fn section_len(record: usize, n: usize) -> std::io::Result<usize> {
+    record
+        .checked_mul(n)
+        .ok_or_else(|| bad_data("record count overflows the section size"))
+}
+
 /// Parse `n` fixed-width vertex records from `buf`.
 fn parse_vertices(buf: &[u8], n: usize) -> std::io::Result<Vec<Vec3>> {
-    if buf.len() < VERTEX_RECORD * n {
+    let len = section_len(VERTEX_RECORD, n)?;
+    if buf.len() < len {
         return Err(bad_data("truncated vertex section"));
     }
     let mut coords = Vec::with_capacity(n);
-    for rec in buf[..VERTEX_RECORD * n].chunks(VERTEX_RECORD) {
+    for rec in buf[..len].chunks(VERTEX_RECORD) {
         let s = std::str::from_utf8(rec).map_err(|_| bad_data("utf8"))?;
         let mut it = s.split_whitespace();
         let x: f64 = it
@@ -229,12 +238,14 @@ fn parse_vertices(buf: &[u8], n: usize) -> std::io::Result<Vec<Vec3>> {
 /// Parse `n` fixed-width element records from `buf`.
 fn parse_elems(buf: &[u8], kind: ElementKind, n: usize) -> std::io::Result<(Vec<u32>, Vec<u32>)> {
     let erl = elem_record_len(kind);
-    if buf.len() < erl * n {
+    let len = section_len(erl, n)?;
+    if buf.len() < len {
         return Err(bad_data("truncated element section"));
     }
+    // `n * nodes < erl * n = len <= buf.len()`: cannot overflow.
     let mut elem_verts = Vec::with_capacity(n * kind.nodes());
     let mut materials = Vec::with_capacity(n);
-    for rec in buf[..erl * n].chunks(erl) {
+    for rec in buf[..len].chunks(erl) {
         let s = std::str::from_utf8(rec).map_err(|_| bad_data("utf8"))?;
         let mut it = s.split_whitespace();
         materials.push(
@@ -276,6 +287,19 @@ pub fn read_flat_bytes(bytes: &[u8]) -> std::io::Result<Mesh> {
 pub fn read_flat_slice(path: &Path, rank: usize, nranks: usize) -> std::io::Result<FlatSlice> {
     let header = read_header(path)?;
     let mut f = std::fs::File::open(path)?;
+    // Both sections must lie inside the file before any buffer is sized
+    // from the header's counts.
+    let file_len = f.metadata()?.len();
+    let erl = elem_record_len(header.kind);
+    let fits = |off: u64, len: usize| {
+        off.checked_add(len as u64)
+            .is_some_and(|end| end <= file_len)
+    };
+    let v_len = section_len(VERTEX_RECORD, header.num_vertices)?;
+    let e_len = section_len(erl, header.num_elements)?;
+    if !fits(header.vertex_off, v_len) || !fits(header.elem_off, e_len) {
+        return Err(bad_data("sections extend past end of file"));
+    }
 
     let (v_lo, v_hi) = block_range(header.num_vertices, rank, nranks);
     f.seek(SeekFrom::Start(
@@ -285,7 +309,6 @@ pub fn read_flat_slice(path: &Path, rank: usize, nranks: usize) -> std::io::Resu
     f.read_exact(&mut buf)?;
     let coords = parse_vertices(&buf, v_hi - v_lo)?;
 
-    let erl = elem_record_len(header.kind);
     let (e_lo, e_hi) = block_range(header.num_elements, rank, nranks);
     f.seek(SeekFrom::Start(header.elem_off + (erl * e_lo) as u64))?;
     let mut buf = vec![0u8; erl * (e_hi - e_lo)];
@@ -422,5 +445,36 @@ mod tests {
         let bytes = write_flat_bytes(&m);
         assert!(read_flat_bytes(&bytes[..bytes.len() - 40]).is_err());
         assert!(read_flat_bytes(b"not a mesh\n").is_err());
+    }
+
+    /// A ~150-byte flat file whose header claims `nv` vertices.
+    fn header_claiming(nv: &str) -> Vec<u8> {
+        let mut bytes =
+            format!("pmgmesh 1\nkind hex8\ncounts {nv} 0\noffsets 64 64\n").into_bytes();
+        bytes.resize(150, b' ');
+        bytes
+    }
+
+    /// `counts 2^61 0` makes `72 · n` wrap to 0: the parse must reject it
+    /// as invalid data before sizing any buffer, not panic.
+    const OVERFLOWING: &str = "2305843009213693952";
+
+    #[test]
+    fn bytes_reader_rejects_overflowing_counts() {
+        let err = read_flat_bytes(&header_claiming(OVERFLOWING)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn file_reader_rejects_overflowing_counts() {
+        let path = tmp("overflow");
+        // An overflowing count, and one that does not overflow but points
+        // past the file's end: both rejected before a buffer is allocated.
+        for nv in [OVERFLOWING, "1000000000000000000"] {
+            std::fs::write(&path, header_claiming(nv)).unwrap();
+            let err = read_flat_slice(&path, 0, 1).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "counts {nv}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -88,61 +88,80 @@ impl IndexMut<(usize, usize)> for DenseMatrix {
 }
 
 /// Cholesky factorization `A = L Lᵀ` of a symmetric positive definite matrix.
+///
+/// The factor is stored as `Lᵀ` rows: row `j` of the storage holds column
+/// `j` of `L` (entries `j..n`), so the left-looking factorization and the
+/// forward solve run as contiguous axpys and the backward solve as a
+/// contiguous dot. Every entry sees the same IEEE operation sequence as the
+/// textbook row-by-row dot form — `a[i][j] − Σₖ L[i,k]·L[j,k]` with `k`
+/// ascending, then the square root or the divide — so the factor and the
+/// solutions are bitwise those of that form, at any vector width.
 #[derive(Clone, Debug)]
 pub struct Cholesky {
-    l: DenseMatrix,
+    lt: DenseMatrix,
 }
 
 impl Cholesky {
-    /// Factor `a`; returns `None` if the matrix is not (numerically) SPD.
+    /// Factor `a` from its lower triangle; returns `None` if the matrix is
+    /// not (numerically) SPD.
     pub fn factor(a: &DenseMatrix) -> Option<Cholesky> {
         assert_eq!(a.nrows, a.ncols);
         let n = a.nrows;
-        let mut l = DenseMatrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
+        let mut lt = DenseMatrix::zeros(n, n);
+        for j in 0..n {
+            let (done, rest) = lt.data.split_at_mut(j * n);
+            let col_j = &mut rest[j..n];
+            for (i, x) in col_j.iter_mut().enumerate() {
+                *x = a[(j + i, j)];
+            }
+            // Left-looking update: column j -= L[j..n, k] · L[j, k], k ascending.
+            for row_k in done.chunks_exact(n) {
+                let ljk = row_k[j];
+                for (x, &lik) in col_j.iter_mut().zip(&row_k[j..]) {
+                    *x -= lik * ljk;
                 }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return None;
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
+            }
+            let d = col_j[0];
+            if d <= 0.0 || !d.is_finite() {
+                return None;
+            }
+            let d = d.sqrt();
+            col_j[0] = d;
+            for x in &mut col_j[1..] {
+                *x /= d;
             }
         }
         flops::add((n * n * n / 3).max(1) as u64);
-        Some(Cholesky { l })
+        Some(Cholesky { lt })
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.l.nrows
+        self.lt.nrows
     }
 
     /// Solve `A x = b` in place.
     pub fn solve_in_place(&self, b: &mut [f64]) {
-        let n = self.l.nrows;
+        let n = self.lt.nrows;
         assert_eq!(b.len(), n);
-        // Forward: L y = b.
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * b[k];
+        // Forward: L y = b, column by column (each b[i] still subtracts
+        // L[i,k]·y[k] in ascending k before its divide).
+        for k in 0..n {
+            let col_k = self.lt.row(k);
+            let yk = b[k] / col_k[k];
+            b[k] = yk;
+            for (bi, &lik) in b[k + 1..].iter_mut().zip(&col_k[k + 1..]) {
+                *bi -= lik * yk;
             }
-            b[i] = sum / self.l[(i, i)];
         }
         // Backward: Lᵀ x = y.
         for i in (0..n).rev() {
+            let col_i = self.lt.row(i);
             let mut sum = b[i];
-            for k in (i + 1)..n {
-                sum -= self.l[(k, i)] * b[k];
+            for (&lki, &xk) in col_i[i + 1..].iter().zip(&b[i + 1..]) {
+                sum -= lki * xk;
             }
-            b[i] = sum / self.l[(i, i)];
+            b[i] = sum / col_i[i];
         }
         flops::add((2 * n * n) as u64);
     }
@@ -160,7 +179,9 @@ impl Cholesky {
 #[derive(Clone, Debug)]
 pub struct Lu {
     lu: DenseMatrix,
-    piv: Vec<usize>,
+    /// Row interchanges in elimination order: step `k` swapped rows `k`
+    /// and `swaps[k]`.
+    swaps: Vec<usize>,
 }
 
 impl Lu {
@@ -169,7 +190,7 @@ impl Lu {
         assert_eq!(a.nrows, a.ncols);
         let n = a.nrows;
         let mut lu = a.clone();
-        let mut piv: Vec<usize> = (0..n).collect();
+        let mut swaps: Vec<usize> = (0..n).collect();
         for k in 0..n {
             // Pivot search.
             let mut p = k;
@@ -190,7 +211,7 @@ impl Lu {
                     lu[(k, j)] = lu[(p, j)];
                     lu[(p, j)] = tmp;
                 }
-                piv.swap(k, p);
+                swaps[k] = p;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -203,7 +224,7 @@ impl Lu {
             }
         }
         flops::add((2 * n * n * n / 3).max(1) as u64);
-        Some(Lu { lu, piv })
+        Some(Lu { lu, swaps })
     }
 
     /// Dimension of the factored matrix.
@@ -211,11 +232,13 @@ impl Lu {
         self.lu.nrows
     }
 
-    /// Solve `A x = b`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+    /// Solve `A x = b` in place.
+    pub fn solve_in_place(&self, x: &mut [f64]) {
         let n = self.lu.nrows;
-        assert_eq!(b.len(), n);
-        let mut x: Vec<f64> = self.piv.iter().map(|&p| b[p]).collect();
+        assert_eq!(x.len(), n);
+        for (k, &p) in self.swaps.iter().enumerate() {
+            x.swap(k, p);
+        }
         // Forward: L y = P b (unit diagonal).
         for i in 0..n {
             let mut sum = x[i];
@@ -233,6 +256,12 @@ impl Lu {
             x[i] = sum / self.lu[(i, i)];
         }
         flops::add((2 * n * n) as u64);
+    }
+
+    /// Solve `A x = b`, returning a fresh `x`.
+    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x);
         x
     }
 }
@@ -309,7 +338,102 @@ mod tests {
         assert_eq!(x, y);
     }
 
+    /// The row-by-row dot-form Cholesky the column-oriented kernel
+    /// replaced: `L` row-major, each entry one ascending-`k` dot.
+    fn reference_factor(a: &DenseMatrix) -> Option<DenseMatrix> {
+        let n = a.nrows;
+        let mut l = DenseMatrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return None;
+                    }
+                    l[(i, j)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        Some(l)
+    }
+
+    /// The dot-form forward and backward solves on a row-major `L`.
+    fn reference_solve(l: &DenseMatrix, b: &mut [f64]) {
+        let n = l.nrows;
+        for i in 0..n {
+            let mut sum = b[i];
+            for k in 0..i {
+                sum -= l[(i, k)] * b[k];
+            }
+            b[i] = sum / l[(i, i)];
+        }
+        for i in (0..n).rev() {
+            let mut sum = b[i];
+            for k in (i + 1)..n {
+                sum -= l[(k, i)] * b[k];
+            }
+            b[i] = sum / l[(i, i)];
+        }
+    }
+
+    /// A random `n`×`n` test matrix of the given kind: 0 = SPD
+    /// (`M Mᵀ + s·I`), 1 = symmetric indefinite, 2 = SPD with one
+    /// non-finite lower-triangle entry, 3 = SPD but nonsymmetric in its
+    /// upper triangle (only the lower triangle may be read), 4 = SPD with
+    /// one non-finite diagonal entry.
+    fn test_matrix(n: usize, kind: usize, seed: u64) -> DenseMatrix {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let vals: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let m = DenseMatrix::from_fn(n, n, |i, j| vals[i * n + j]);
+        let shift = if kind == 1 { -(n as f64) * 0.3 } else { 0.5 };
+        let mut a = DenseMatrix::from_fn(n, n, |i, j| {
+            let acc: f64 = (0..n).map(|k| m[(i, k)] * m[(j, k)]).sum();
+            acc + if i == j { shift } else { 0.0 }
+        });
+        let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3)];
+        match kind {
+            2 => a[(i.max(j), i.min(j))] = bad,
+            4 => a[(i, i)] = bad,
+            3 if i != j => a[(i.min(j), i.max(j))] += 1e3,
+            _ => {}
+        }
+        a
+    }
+
     proptest! {
+        #[test]
+        fn prop_cholesky_bitwise_vs_dot_form(
+            n in 1usize..200,
+            kind in 0usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            let a = test_matrix(n, kind, seed);
+            let fast = Cholesky::factor(&a);
+            let slow = reference_factor(&a);
+            prop_assert_eq!(fast.is_some(), slow.is_some());
+            if let (Some(fast), Some(slow)) = (fast, slow) {
+                for i in 0..n {
+                    for j in 0..=i {
+                        prop_assert_eq!(fast.lt[(j, i)].to_bits(), slow[(i, j)].to_bits());
+                    }
+                }
+                let b: Vec<f64> = (0..n).map(|i| ((i as u64 ^ seed) % 97) as f64 - 48.0).collect();
+                let mut x_ref = b.clone();
+                reference_solve(&slow, &mut x_ref);
+                let x = fast.solve(&b);
+                for (u, v) in x.iter().zip(&x_ref) {
+                    prop_assert_eq!(u.to_bits(), v.to_bits());
+                }
+            }
+        }
+
         #[test]
         fn prop_cholesky_random_spd(
             vals in proptest::collection::vec(-1.0f64..1.0, 16),

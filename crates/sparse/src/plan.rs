@@ -84,9 +84,11 @@ fn flush_row(
     }
 }
 
-/// FNV-1a over a CSR pattern — the cheap fingerprint [`RapPlan::matches`]
-/// uses to detect pattern drift between executions.
-fn pattern_fingerprint(a: &CsrMatrix) -> u64 {
+/// FNV-1a over a CSR pattern (dimensions, row lengths and column indices,
+/// not values) — the cheap fingerprint [`RapPlan::matches`] and the
+/// block-Jacobi smoother's cached block plan use to detect pattern drift
+/// between executions.
+pub fn pattern_fingerprint(a: &CsrMatrix) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     let mut eat = |x: usize| {
         h ^= x as u64;

@@ -2,8 +2,8 @@
 //! after a hierarchy is built and a first Newton-style operator update has
 //! happened, a second re-assembly + `update_operator` round on the same
 //! sparsity pattern must perform **zero** symbolic work — no new RAP plan
-//! builds, no new assembly pattern builds — while the plan-reuse and
-//! pattern-reuse counters keep climbing. The planned Galerkin products are
+//! builds, no new block-Jacobi block plans, no new assembly pattern builds
+//! — while the plan-reuse and pattern-reuse counters keep climbing. The planned Galerkin products are
 //! also checked numerically, level by level, against the unplanned
 //! `CsrMatrix::rap` reference.
 //!
@@ -59,7 +59,6 @@ fn second_update_round_is_numeric_only() {
     let c1 = pmg_telemetry::snapshot();
     let k2 = round(2e-4, &mut solver);
     let c2 = pmg_telemetry::snapshot();
-    pmg_telemetry::set_enabled(false);
 
     // Round 2 did real work...
     assert!(
@@ -87,10 +86,15 @@ fn second_update_round_is_numeric_only() {
     // The hierarchy was built with collection on, so the build itself is
     // accounted: one plan per non-coarsest level, built exactly once.
     assert_eq!(counter(&c2, "rap/plan_build"), (nlevels - 1) as u64);
+    // Block-Jacobi smoothers likewise: one block plan per level at build,
+    // then every level of both update rounds re-factors through it.
+    assert_eq!(counter(&c2, "smoother/plan_build"), nlevels as u64);
+    assert_eq!(counter(&c1, "smoother/plan_reuse"), nlevels as u64);
+    assert_eq!(counter(&c2, "smoother/plan_reuse"), 2 * nlevels as u64);
 
     // Numeric check: every planned coarse operator matches the unplanned
     // triple product to 1e-12, level by level.
-    let mut cur = k2;
+    let mut cur = k2.clone();
     for lvl in 0..nlevels - 1 {
         let r = solver.mg.levels[lvl]
             .r_global
@@ -113,4 +117,21 @@ fn second_update_round_is_numeric_only() {
         }
         cur = reference;
     }
+
+    // A pattern change — one extra symmetric pair between two of rank 0's
+    // fine rows — makes the update rebuild rank 0's level-0 block plan,
+    // with no signal to the caller.
+    let owned = solver.mg.levels[0].a.row_layout().owned(0);
+    let (i, j) = (owned[0] as usize, owned[owned.len() - 1] as usize);
+    assert_eq!(k2.get(i, j), 0.0, "pair ({i}, {j}) must be new");
+    let mut extra = pmg_sparse::CooBuilder::new(k2.nrows(), k2.ncols());
+    extra.push(i, j, -1e-3 * k2.get(i, i));
+    extra.push(j, i, -1e-3 * k2.get(i, i));
+    solver.update_matrix(&k2.add_scaled(&extra.build(), 1.0));
+    let c3 = pmg_telemetry::snapshot();
+    pmg_telemetry::set_enabled(false);
+    assert!(
+        counter(&c3, "smoother/plan_build") > counter(&c2, "smoother/plan_build"),
+        "a pattern change reused a stale block plan"
+    );
 }
